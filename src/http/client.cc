@@ -5,12 +5,18 @@
 #include <cstdint>
 #include <thread>
 
+#include "src/http/http.h"
+
 namespace incentag {
 namespace http {
 namespace {
 
 constexpr std::string_view kCrlf = "\r\n";
 constexpr std::string_view kHeadEnd = "\r\n\r\n";
+// Responses are held to the same head and body bounds the server puts
+// on requests. The largest response the API serves, a 65536-task page
+// of `tasks?max=`, is about 3.3 MB even at 19-digit seqs.
+constexpr ReadLimits kLimits;
 
 uint64_t SplitMix64(uint64_t* state) {
   uint64_t z = (*state += 0x9E3779B97F4A7C15ull);
@@ -141,12 +147,20 @@ util::Result<ClientResponse> Client::RoundTrip(std::string_view method,
   out.append(kCrlf);
   out.append(body);
   INCENTAG_RETURN_IF_ERROR(socket_.WriteAll(out));
-  return ReadResponse();
+  util::Result<ClientResponse> response = ReadResponse();
+  // A failed read leaves the stream position unknown (a partial body, or
+  // bytes of a response that was refused): drop the connection so no
+  // later response is parsed from the middle of this one.
+  if (!response.ok()) Disconnect();
+  return response;
 }
 
 util::Result<ClientResponse> Client::ReadResponse() {
   size_t head_end;
   while ((head_end = buf_.find(kHeadEnd)) == std::string::npos) {
+    if (buf_.size() > kLimits.max_head_bytes) {
+      return util::Status::Corruption("response head too large");
+    }
     char chunk[8192];
     util::Result<size_t> n = socket_.ReadSome(chunk, sizeof(chunk));
     if (!n.ok()) return n.status();
@@ -154,6 +168,9 @@ util::Result<ClientResponse> Client::ReadResponse() {
       return util::Status::IoError("connection closed before response");
     }
     buf_.append(chunk, n.value());
+  }
+  if (head_end > kLimits.max_head_bytes) {
+    return util::Status::Corruption("response head too large");
   }
 
   ClientResponse response;
@@ -192,12 +209,17 @@ util::Result<ClientResponse> Client::ReadResponse() {
     std::string_view value = line.substr(colon + 1);
     while (!value.empty() && value.front() == ' ') value.remove_prefix(1);
     if (name == "content-length") {
+      if (value.empty()) return util::Status::Corruption("bad content-length");
       content_length = 0;
       for (char c : value) {
         if (c < '0' || c > '9') {
           return util::Status::Corruption("bad content-length");
         }
+        // Checked per digit, so the running value never overflows.
         content_length = content_length * 10 + static_cast<size_t>(c - '0');
+        if (content_length > kLimits.max_body_bytes) {
+          return util::Status::Corruption("response body too large");
+        }
       }
     }
     response.headers.emplace_back(std::move(name), std::string(value));

@@ -33,7 +33,6 @@
 // Simulation substrate: corpus, dataset pipeline, crowds.
 #include "src/sim/corpus_stream.h"
 #include "src/sim/crowd.h"
-#include "src/sim/dataset_io.h"
 #include "src/sim/dataset_prep.h"
 #include "src/sim/delicious_format.h"
 #include "src/sim/generator.h"

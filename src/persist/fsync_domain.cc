@@ -61,6 +61,13 @@ obs::Counter* RetryExhaustedCounter() {
   return counter;
 }
 
+obs::Counter* LogCommitsCounter() {
+  static obs::Counter* counter = obs::Registry::Default().GetCounter(
+      "incentag_persist_log_commits_total",
+      "Sync windows committed through the fleet commit log");
+  return counter;
+}
+
 // Fault-injection sites for the commit-log rung (ISSUE 10): distinct
 // from the file_io points so tests can fault the fleet log without
 // touching the campaign journals in the same window.
@@ -150,6 +157,9 @@ util::Status FsyncDomain::Init(const FsyncDomainOptions& options) {
     return status;  // domain stays usable; log rung disabled
   }
   log_active_ = true;
+  // Registered up front so /metrics shows a configured rung that never
+  // engaged as 0 rather than as an absent series.
+  LogCommitsCounter();
   return util::Status::OK();
 }
 
@@ -369,6 +379,7 @@ util::Status FsyncDomain::Commit(const std::vector<JournalWriter*>& batch) {
         JournalSyncsCounter()->Increment();
         if (status.ok()) {
           ++log_commits_;
+          LogCommitsCounter()->Increment();
           for (const Pending& p : pending) {
             if (!p.logged) continue;
             auto it = states_.find(p.writer);

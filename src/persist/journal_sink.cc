@@ -12,7 +12,6 @@ JournalSink::JournalSink(JournalSinkOptions options) : options_(options) {
   FsyncDomainOptions domain_options;
   domain_options.commit_log_path = options_.commit_log_path;
   domain_options.per_fd_threshold = options_.commit_log_threshold;
-  domain_options.checkpoint_bytes = options_.commit_log_checkpoint_bytes;
   domain_options.retry = options_.retry;
   domain_options.on_storage_error = options_.on_storage_error;
   domain_options.on_storage_ok = options_.on_storage_ok;

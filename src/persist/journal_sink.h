@@ -45,8 +45,6 @@ struct JournalSinkOptions {
   std::string commit_log_path;
   // Dirty sets larger than this commit through the log.
   size_t commit_log_threshold = 4;
-  // Log size that triggers a checkpoint (sync journals, truncate log).
-  int64_t commit_log_checkpoint_bytes = 4 << 20;
   // Retry ladder for transient per-journal sync failures, and the
   // health callbacks the domain invokes from the sink thread (see
   // FsyncDomainOptions for the exact contract). The service layer wires

@@ -22,7 +22,6 @@
 //   * sim::CrowdLoadGenerator (src/sim/load_generator.h): a pool of
 //     simulated tagger threads with configurable per-task latency and
 //     per-tagger completion buffers.
-//   * persist::ReplayCompletionSource: re-drives a recorded trace.
 #ifndef INCENTAG_SERVICE_COMPLETION_SOURCE_H_
 #define INCENTAG_SERVICE_COMPLETION_SOURCE_H_
 

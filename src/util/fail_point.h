@@ -163,12 +163,6 @@ class FailPoint {
 #define INCENTAG_FAIL_POINT_FIRED(var, fault_ptr) \
   (__builtin_expect((var).armed(), 0) && (var).Fire(fault_ptr))
 
-// True when the point is armed at all — sites that must pre-commit to a
-// slow path (e.g. skipping the io_uring fast path so the POSIX ladder
-// sees the fault) check this without consuming a hit.
-#define INCENTAG_FAIL_POINT_ARMED(var) \
-  (__builtin_expect((var).armed(), 0))
-
 #else  // !INCENTAG_FAILPOINTS
 
 namespace incentag {
@@ -194,7 +188,6 @@ class FailPoint {
   [[maybe_unused]] ::incentag::util::FailPoint var {}
 #define INCENTAG_FAIL_POINT_FIRED(var, fault_ptr) \
   ((void)(var), (void)(fault_ptr), false)
-#define INCENTAG_FAIL_POINT_ARMED(var) ((void)(var), false)
 
 #endif  // INCENTAG_FAILPOINTS
 

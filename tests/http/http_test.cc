@@ -1,5 +1,6 @@
 // Wire-level tests: RequestReader over a real socketpair-style loopback
-// connection, limits, percent decoding, and response serialization.
+// connection, limits, percent decoding, response serialization, and
+// Client's refusal of malformed or oversized responses.
 #include "src/http/http.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <thread>
 #include <utility>
 
+#include "src/http/client.h"
 #include "src/util/socket.h"
 
 namespace incentag {
@@ -173,6 +175,84 @@ TEST(WriteResponse, SerializesStatusAndBody) {
             "Content-Length: 13\r\n"
             "Connection: close\r\n\r\n"
             "{\"error\":\"x\"}");
+}
+
+// A one-shot raw server: accepts one connection, reads one request head,
+// answers with `response` verbatim and closes. Lets a test feed Client
+// bytes no real server would send.
+class RawResponder {
+ public:
+  explicit RawResponder(std::string response) {
+    EXPECT_TRUE(listener_.Listen("127.0.0.1", 0).ok());
+    thread_ = std::thread([this, response = std::move(response)] {
+      util::Result<util::Socket> conn = listener_.AcceptWithTimeout(5000);
+      if (!conn.ok()) return;
+      std::string head;
+      char chunk[4096];
+      while (head.find("\r\n\r\n") == std::string::npos) {
+        util::Result<size_t> n = conn.value().ReadSome(chunk, sizeof(chunk));
+        if (!n.ok() || n.value() == 0) return;
+        head.append(chunk, n.value());
+      }
+      // The client may hang up mid-write once it has refused the
+      // response; that is the point, not an error.
+      (void)conn.value().WriteAll(response);
+    });
+  }
+  ~RawResponder() { thread_.join(); }
+
+  uint16_t port() const { return listener_.port(); }
+
+ private:
+  util::ListenSocket listener_;
+  std::thread thread_;
+};
+
+TEST(Client, AcceptsBodyAtTheLimit) {
+  const size_t size = ReadLimits{}.max_body_bytes;
+  RawResponder responder("HTTP/1.1 200 OK\r\nContent-Length: " +
+                         std::to_string(size) + "\r\n\r\n" +
+                         std::string(size, 'x'));
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", responder.port()).ok());
+  util::Result<ClientResponse> r = client.Get("/v1/campaigns");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().status, 200);
+  EXPECT_EQ(r.value().body.size(), size);
+}
+
+// Responses the client must refuse, bounded by the same ReadLimits the
+// server enforces on requests. A refused response also drops the
+// connection, so none of its bytes are parsed as the next response.
+TEST(Client, RejectsMalformedOrOversizedResponses) {
+  const ReadLimits limits;
+  const std::string bad[] = {
+      // Empty Content-Length.
+      "HTTP/1.1 200 OK\r\nContent-Length: \r\n\r\n",
+      // 2^64 + 5 used to wrap to 5: "hello" became the body and the
+      // junk after it was left for the next response to misparse.
+      "HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551621\r\n\r\n"
+      "helloHTTP/1.1 204 No Content\r\nContent-Length: 0\r\n\r\n",
+      // Over the body limit: refused on the header alone, before any
+      // body is buffered.
+      "HTTP/1.1 200 OK\r\nContent-Length: " +
+          std::to_string(limits.max_body_bytes + 1) + "\r\n\r\n",
+      // Over the head limit.
+      "HTTP/1.1 200 OK\r\nX-Pad: " + std::string(limits.max_head_bytes, 'a') +
+          "\r\nContent-Length: 0\r\n\r\n",
+  };
+  for (const std::string& response : bad) {
+    RawResponder responder(response);
+    ClientRetryOptions retry;
+    retry.max_attempts = 1;  // the first refusal is what the caller sees
+    Client client(retry);
+    ASSERT_TRUE(client.Connect("127.0.0.1", responder.port()).ok());
+    util::Result<ClientResponse> r = client.Get("/v1/campaigns");
+    const std::string shown = response.substr(0, 80);
+    EXPECT_FALSE(r.ok()) << "should refuse: " << shown;
+    EXPECT_EQ(r.status().code(), util::StatusCode::kCorruption) << shown;
+    EXPECT_FALSE(client.connected()) << shown;
+  }
 }
 
 TEST(PercentDecode, Basics) {

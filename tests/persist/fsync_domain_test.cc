@@ -493,6 +493,36 @@ TEST_F(FsyncDomainTest, StragglerScheduleAfterStopCountsTowardSyncsMetric) {
   EXPECT_EQ(contents.value().completions.size(), 1u);
 }
 
+// The log rung's use is visible from /metrics: one
+// incentag_persist_log_commits_total increment per window it commits,
+// none for a window the per-fd rung takes.
+TEST_F(FsyncDomainTest, LogRungCommitsAreExported) {
+  FsyncDomain domain;
+  FsyncDomainOptions options;
+  options.commit_log_path = Path(kFleetCommitLogName);
+  ASSERT_TRUE(domain.Init(options).ok());
+  const obs::Counter* exported = obs::Registry::Default().GetCounter(
+      "incentag_persist_log_commits_total", "");
+  const int64_t before = exported->Value();
+
+  std::vector<std::unique_ptr<JournalWriter>> writers;
+  std::vector<JournalWriter*> batch;
+  for (int i = 0; i < 6; ++i) {  // > per_fd_threshold (4)
+    writers.push_back(MakeWriter("j" + std::to_string(i) + ".journal"));
+    domain.Track(writers.back().get());
+    AppendBatch(writers.back().get(), 0, 2);
+    batch.push_back(writers.back().get());
+  }
+  ASSERT_TRUE(domain.Commit(batch).ok());
+  EXPECT_EQ(domain.log_commits(), 1);
+  EXPECT_EQ(exported->Value(), before + 1);
+
+  AppendBatch(writers[0].get(), 2, 2);
+  ASSERT_TRUE(domain.Commit({writers[0].get()}).ok());  // per-fd rung
+  EXPECT_EQ(exported->Value(), before + 1);
+  for (auto& writer : writers) domain.Untrack(writer.get());
+}
+
 // TSan stress: 16 campaigns appending/compacting on 4 stepper threads
 // while the sink's thread group-commits through the fleet log and the
 // main thread drains. Exercises Commit vs OnJournalRewritten vs

@@ -260,8 +260,7 @@ TEST_F(FaultTortureTest, SixteenCampaignFleetNeverWedgesAndRecovers) {
       "file_io/pwritev",        "file_io/fdatasync",
       "file_io/fsync",          "file_io/open",
       "fsync_domain/log_append", "fsync_domain/log_sync",
-      "io_uring/submit",        "compactor/rewrite",
-      "compactor/rename",
+      "compactor/rewrite",      "compactor/rename",
   };
   constexpr size_t kNumSites = sizeof(kSites) / sizeof(kSites[0]);
   util::Rng rng(0xF417);

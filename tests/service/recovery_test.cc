@@ -1,10 +1,10 @@
 // Crash-recovery, replay and teardown-robustness tests for the service
 // layer (ISSUE 2): a journaled campaign killed mid-run and recovered by a
 // fresh CampaignManager must produce a RunReport byte-identical to the
-// uninterrupted deterministic run, a recorded trace must re-drive through
-// persist::ReplayCompletionSource to the same report, and no campaign may
-// ever wedge in kRunning — a closed completion source fails it fast and
-// WaitFor bounds every wait.
+// uninterrupted deterministic run, a recorded crowd trace must replay
+// through Recover to the same report, and no campaign may ever wedge in
+// kRunning — a closed completion source fails it fast and WaitFor bounds
+// every wait.
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -18,7 +18,6 @@
 #include "src/core/allocation.h"
 #include "src/core/post_stream.h"
 #include "src/persist/journal.h"
-#include "src/persist/replay_source.h"
 #include "src/service/campaign_manager.h"
 #include "src/sim/crowd.h"
 #include "src/sim/dataset_prep.h"
@@ -502,9 +501,10 @@ TEST_F(RecoveryTest, CancelledCampaignStaysCancelledAcrossRecovery) {
   EXPECT_GT(result.value().report.budget_spent, 0);
 }
 
-// ReplayCompletionSource re-drives a recorded crowd trace: a campaign
-// completed against the replayed journal reproduces the original report.
-TEST_F(RecoveryTest, ReplaySourceRedrivesRecordedTrace) {
+// A recorded crowd trace (out-of-order arrivals) replays through Recover:
+// Algorithm 1 is deterministic, so the journal alone re-drives the
+// campaign to the sequential report, one replayed record per completion.
+TEST_F(RecoveryTest, RecoverRedrivesRecordedCrowdTrace) {
   const int kind = 2;
   const int64_t budget = 350;
   const uint64_t seed = 9;
@@ -531,23 +531,26 @@ TEST_F(RecoveryTest, ReplaySourceRedrivesRecordedTrace) {
   auto files = util::ListDirFiles(dir_.string(), ".journal");
   ASSERT_TRUE(files.ok());
   ASSERT_EQ(files.value().size(), 1u);
-  auto replay = persist::ReplayCompletionSource::Open(files.value()[0]);
-  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  auto contents = persist::ReadJournal(files.value()[0]);
+  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+  const int64_t trace_len =
+      static_cast<int64_t>(contents.value().completions.size());
+  ASSERT_GT(trace_len, 0);
 
-  ManagerOptions options;
-  options.num_threads = 2;
-  options.tasks_per_step = 16;
-  options.completions = replay.value().get();
-  CampaignManager manager(options);
-  auto id = manager.Submit(MakeConfig(kind, budget, seed));
-  ASSERT_TRUE(id.ok());
-  auto report = manager.Wait(id.value());
+  ManagerOptions det;
+  det.deterministic = true;
+  CampaignManager recovered(det);
+  auto ids = recovered.Recover(dir_.string(), Factory);
+  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+  ASSERT_EQ(ids.value().size(), 1u);
+  auto report = recovered.Wait(ids.value()[0]);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ExpectReportsEqual(RunSequential(kind, budget, seed), report.value(),
-                     "replayed trace");
-  EXPECT_TRUE(replay.value()->error().ok())
-      << replay.value()->error().ToString();
-  manager.Shutdown();
+                     "recovered crowd trace");
+  auto status = recovered.Status(ids.value()[0]);
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(status.value().records_replayed, trace_len);
+  recovered.Shutdown();
 }
 
 // ISSUE 2 satellite: a completion source that closes mid-campaign must

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/sim/dataset_io.h"
 #include "src/sim/delicious_format.h"
 #include "src/util/random.h"
 
@@ -75,56 +74,6 @@ TEST_P(DumpFuzzTest, HalfValidLinesKeepTheValidOnes) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DumpFuzzTest,
                          ::testing::Values(1u, 42u, 31337u));
-
-class DatasetIoFuzzTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(DatasetIoFuzzTest, GarbageIsRejectedNotCrashed) {
-  util::Rng rng(GetParam());
-  for (int round = 0; round < 20; ++round) {
-    std::string text = RandomGarbage(&rng, 1 + rng.NextBounded(1500));
-    auto loaded = ParsePreparedDataset(text);
-    // Random soup virtually never begins with the magic header.
-    EXPECT_FALSE(loaded.ok());
-  }
-}
-
-TEST_P(DatasetIoFuzzTest, TruncationsOfValidFilesAreRejected) {
-  // Start from a valid serialisation and chop it at random points: every
-  // truncation must be detected (or parse to a valid strict prefix —
-  // impossible here because the resource count pins the expected length).
-  const char* valid =
-      "incentag-dataset v1\n"
-      "resources 2\n"
-      "resource a.example 3 2 1.5 0\n"
-      "reference 2 physics 0.8 maps 0.6\n"
-      "initial 2\n"
-      "physics\n"
-      "physics maps\n"
-      "future 1\n"
-      "maps\n"
-      "resource b.example 2 1 0.5 1\n"
-      "reference 1 sports 1.0\n"
-      "initial 1\n"
-      "sports\n"
-      "future 1\n"
-      "sports\n";
-  const std::string full(valid);
-  ASSERT_TRUE(ParsePreparedDataset(full).ok());
-  // Cuts inside the final "future" section may leave a shorter-but-valid
-  // tag name (the parser cannot know tag spellings), so only cuts that
-  // remove structure are guaranteed to fail.
-  const size_t last_structure = full.rfind("future");
-  ASSERT_NE(last_structure, std::string::npos);
-  util::Rng rng(GetParam() ^ 0x7777u);
-  for (int round = 0; round < 30; ++round) {
-    size_t cut = 1 + rng.NextBounded(last_structure - 1);
-    auto loaded = ParsePreparedDataset(full.substr(0, cut));
-    EXPECT_FALSE(loaded.ok()) << "cut at " << cut;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DatasetIoFuzzTest,
-                         ::testing::Values(7u, 123u));
 
 }  // namespace
 }  // namespace sim
