@@ -34,6 +34,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -81,20 +82,6 @@
 namespace {
 
 using namespace incentag;
-
-const char* StateName(service::CampaignState state) {
-  switch (state) {
-    case service::CampaignState::kRunning:
-      return "running";
-    case service::CampaignState::kDone:
-      return "done";
-    case service::CampaignState::kCancelled:
-      return "cancelled";
-    case service::CampaignState::kFailed:
-      return "failed";
-  }
-  return "?";
-}
 
 // Every campaign's status via the paginated List API — the dashboard
 // and rollups page through the same read path as GET /v1/campaigns, so
@@ -461,8 +448,10 @@ int main(int argc, char** argv) {
   const std::vector<service::CampaignStatus> fleet = ListAll(manager);
   for (const service::CampaignStatus& s : fleet) {
     if (s.state != service::CampaignState::kDone) {
-      std::fprintf(stderr, "%s ended %s: %s\n", s.name.c_str(),
-                   StateName(s.state), s.error.c_str());
+      const std::string_view state = service::api::CampaignStateName(s.state);
+      std::fprintf(stderr, "%s ended %.*s: %s\n", s.name.c_str(),
+                   static_cast<int>(state.size()), state.data(),
+                   s.error.c_str());
       continue;
     }
     Agg& agg = by_strategy[s.strategy];

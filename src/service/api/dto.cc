@@ -69,6 +69,12 @@ util::Result<SubmitCampaignRequest> DecodeSubmitCampaignRequest(
   if (out.name.empty()) {
     return util::Status::InvalidArgument("name must be non-empty");
   }
+  if (out.name.size() > SubmitCampaignRequest::kMaxCampaignNameBytes) {
+    return util::Status::InvalidArgument(
+        "name longer than " +
+        std::to_string(SubmitCampaignRequest::kMaxCampaignNameBytes) +
+        " bytes");
+  }
 
   util::Result<std::string> strategy = GetString(body, "strategy");
   if (!strategy.ok()) return strategy.status();

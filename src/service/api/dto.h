@@ -29,6 +29,9 @@ namespace api {
 // stream) itself; this is the same split CampaignFactory makes at
 // recovery.
 struct SubmitCampaignRequest {
+  // Decode rejects names longer than this (kInvalidArgument): a name is
+  // journaled, listed and searched, so it must stay small.
+  static constexpr size_t kMaxCampaignNameBytes = 256;
   std::string name;
   std::string strategy;
   int64_t budget = 0;
@@ -56,7 +59,7 @@ util::Result<CompletionBatchRequest> DecodeCompletionBatchRequest(
     const util::json::Value& body);
 
 // Wire names for CampaignState ("running", "done", "cancelled",
-// "failed") and the inverse for ?state= filters.
+// "failed", "quarantined") and the inverse for ?state= filters.
 std::string_view CampaignStateName(CampaignState state);
 bool ParseCampaignState(std::string_view name, CampaignState* out);
 

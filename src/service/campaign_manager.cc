@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <queue>
 #include <unordered_map>
@@ -149,11 +150,15 @@ struct ServiceMetrics {
 //   * published: the status snapshot + terminal report, guarded by
 //     status_mu, written at step boundaries and read by pollers/waiters.
 struct CampaignManager::Campaign {
-  Campaign(CampaignId id_in, CampaignConfig config_in)
+  Campaign(CampaignManager* manager, CampaignId id_in,
+           CampaignConfig config_in)
       : id(id_in),
         config(std::move(config_in)),
         strategy_name(config.strategy->name()),
-        runtime(config.options, config.initial_posts, config.references) {}
+        runtime(config.options, config.initial_posts, config.references),
+        completion_fn([manager, this](std::span<const TaskHandle> tasks) {
+          manager->OnCompletionBatch(this, tasks);
+        }) {}
 
   const CampaignId id;
   CampaignConfig config;
@@ -188,10 +193,10 @@ struct CampaignManager::Campaign {
   std::vector<uint64_t> drained;
   std::vector<core::ResourceId> apply_run;
   std::vector<persist::CompletionRecord> journal_batch;
-  // Built once at Submit/Recover and reused for every SubmitTasks call,
+  // Built once with the campaign and reused for every SubmitTasks call,
   // so the assignment path does not allocate a fresh std::function per
   // drawn batch.
-  CompletionSource::CompletionFn completion_fn;
+  const CompletionSource::CompletionFn completion_fn;
   // Write-ahead journal; null when the manager journals nothing.
   std::unique_ptr<persist::JournalWriter> journal;
   // The journaled deterministic inputs, kept so a compaction can rewrite
@@ -312,7 +317,9 @@ CampaignManager::CampaignManager(ManagerOptions options)
   for (int i = 0; i < options_.num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  if (options_.completions != nullptr) {
+  // Deterministic mode completes inline whatever source is configured:
+  // its reports must not depend on a tagger crowd.
+  if (options_.completions != nullptr && !options_.deterministic) {
     source_ = options_.completions;
   } else {
     inline_source_ = std::make_unique<InlineCompletionSource>();
@@ -379,6 +386,19 @@ int CampaignManager::num_threads() const {
   return pool_ == nullptr ? 0 : pool_->num_threads();
 }
 
+// Every registered campaign. Campaigns are never erased before the
+// manager is destroyed, so the pointers outlive the shard locks.
+std::vector<CampaignManager::Campaign*> CampaignManager::Campaigns() const {
+  std::vector<Campaign*> out;
+  for (const auto& shard : shards_) {
+    util::MutexLock lock(&shard->mu);
+    for (const auto& [id, campaign] : shard->campaigns) {
+      out.push_back(campaign.get());
+    }
+  }
+  return out;
+}
+
 size_t CampaignManager::num_campaigns() const {
   size_t n = 0;
   for (const auto& shard : shards_) {
@@ -414,11 +434,8 @@ util::Status CampaignManager::TryRegister(
 util::Result<CampaignId> CampaignManager::Submit(CampaignConfig config) {
   INCENTAG_RETURN_IF_ERROR(ValidateConfig(config));
   const CampaignId id = next_id_.fetch_add(1);
-  auto campaign = std::make_unique<Campaign>(id, std::move(config));
+  auto campaign = std::make_unique<Campaign>(this, id, std::move(config));
   Campaign* raw = campaign.get();
-  raw->completion_fn = [this, raw](std::span<const TaskHandle> tasks) {
-    OnCompletionBatch(raw, tasks);
-  };
 
   if (!options_.journal_dir.empty()) {
     // The SubmitRecord must be durable before any work happens: a crash
@@ -459,30 +476,14 @@ util::Result<CampaignId> CampaignManager::Submit(CampaignConfig config) {
     sink_->Track(raw->journal.get());
   }
   if (options_.deterministic) {
-    RunDeterministic(raw);
+    raw->scheduled.store(true);  // the submitting thread is the stepper
+    Step(raw);
   } else {
     scheduler_->Register(
         id, ScheduleParams{raw->priority, raw->deadline_seconds});
     ScheduleStep(raw);
   }
   return id;
-}
-
-// The deterministic fallback: the exact driver AllocationEngine::Run uses,
-// inline on the submitting thread — reports are byte-identical to the
-// synchronous engine for identical inputs.
-void CampaignManager::RunDeterministic(Campaign* c) {
-  c->scheduled.store(true);  // the submitting thread is the stepper
-  c->queue_delay_s = c->submitted.ElapsedSeconds();
-  c->started.Restart();
-  util::Status status =
-      c->runtime.Begin(c->config.strategy.get(), c->config.stream.get());
-  if (!status.ok()) {
-    Finalize(c, CampaignState::kFailed, status.ToString());
-    return;
-  }
-  c->begun = true;
-  DriveDeterministic(c);
 }
 
 // Applies the completions collected in c->apply_run to the runtime and
@@ -536,46 +537,44 @@ bool CampaignManager::ApplyRun(Campaign* c) {
   return true;
 }
 
-// Drives a begun campaign to completion on the calling thread: applies
-// whatever is pending, then draws/applies batches until the budget is
-// spent — the same order AllocationEngine::Run uses. Journals each
-// applied run as one batched append. Shared by deterministic Submit and
-// deterministic recovery (which arrives here with a partially-applied
-// pending deque).
-void CampaignManager::DriveDeterministic(Campaign* c) {
-  // The whole synchronous drive counts as a single scheduler quantum.
-  c->quanta_run.fetch_add(1, std::memory_order_relaxed);
-  util::Status status;
-  for (;;) {
-    if (c->quarantine_requested.load()) {
-      std::string error;
-      {
-        util::MutexLock lock(&c->status_mu);
-        error = c->quarantine_error;
-      }
-      Quarantine(c, std::move(error));
-      return;
-    }
-    if (!c->pending.empty()) {
-      c->apply_run.assign(c->pending.begin(), c->pending.end());
-      c->pending.clear();
-      if (!ApplyRun(c)) return;
-    }
-    FlushJournal(c);
-    MaybeCompact(c);
-    if (c->runtime.done()) break;
-    status = c->runtime.DrawBatch(&c->batch);
-    if (!status.ok()) {
-      Finalize(c, CampaignState::kFailed, status.ToString());
-      return;
-    }
-    if (c->batch.empty()) break;  // stopped early; loop finalizes
-    for (core::ResourceId resource : c->batch) {
-      c->pending.push_back(resource);
-      ++c->next_assign_seq;
-    }
+// Draws the runtime's next batch into c->batch and queues it on
+// `pending` under fresh assignment seqs.
+util::Status CampaignManager::DrawNext(Campaign* c) {
+  INCENTAG_RETURN_IF_ERROR(c->runtime.DrawBatch(&c->batch));
+  c->pending.insert(c->pending.end(), c->batch.begin(), c->batch.end());
+  c->next_assign_seq += c->batch.size();
+  return util::Status::OK();
+}
+
+// Hands every pending task to the completion source, stamped with its
+// assignment seq. May complete some tasks synchronously (inline source):
+// their spans land in the inbox for the stepper, which holds the token,
+// so the callbacks' re-schedule attempts are cheap no-ops. A source that
+// drops part of the batch (it was stopped) can never complete it, so the
+// campaign fails fast instead of staying kRunning forever.
+bool CampaignManager::SubmitPending(Campaign* c) {
+  if (c->pending.empty()) return true;
+  c->tasks.clear();
+  c->tasks.reserve(c->pending.size());
+  uint64_t seq = c->next_apply_seq;
+  for (core::ResourceId resource : c->pending) {
+    c->tasks.push_back(TaskHandle{c->id, resource, seq++});
   }
-  Finalize(c, CampaignState::kDone, "");
+  if (source_->SubmitTasks(c->tasks, c->completion_fn)) return true;
+  Finalize(c, CampaignState::kFailed, kSourceClosedError);
+  return false;
+}
+
+// Performs a quarantine OnWriterSick requested; true when it did.
+bool CampaignManager::QuarantineIfRequested(Campaign* c) {
+  if (!c->quarantine_requested.load()) return false;
+  std::string error;
+  {
+    util::MutexLock lock(&c->status_mu);
+    error = c->quarantine_error;
+  }
+  Quarantine(c, std::move(error));
+  return true;
 }
 
 void CampaignManager::ScheduleStep(Campaign* c) {
@@ -747,23 +746,18 @@ void CampaignManager::MaybeCompact(Campaign* c) {
 // completions may be applied before the campaign must go back through
 // the ready queue — comes from the scheduler, so a priority policy can
 // hand high-priority campaigns proportionally more work per dispatch.
+// Deterministic mode runs a whole campaign as one unbounded quantum.
 void CampaignManager::Step(Campaign* c) {
   if (c->finalized.load()) return;
-  if (c->quarantine_requested.load()) {
-    std::string error;
-    {
-      util::MutexLock lock(&c->status_mu);
-      error = c->quarantine_error;
-    }
-    Quarantine(c, std::move(error));
-    return;
-  }
+  if (QuarantineIfRequested(c)) return;
   // Fleet degraded mode: background-class campaigns give up their turn
   // (admission pause) so the storage stack's remaining headroom serves
   // critical campaigns and compaction. Cancellation still wins — a
-  // parked campaign must stay cancellable.
-  if (options_.health != nullptr && options_.health->degraded() &&
-      c->priority <= 1 && !c->cancel_requested.load()) {
+  // parked campaign must stay cancellable. Deterministic campaigns run
+  // to completion inside Submit and never park.
+  if (!options_.deterministic && options_.health != nullptr &&
+      options_.health->degraded() && c->priority <= 1 &&
+      !c->cancel_requested.load()) {
     c->parked.store(true);
     c->scheduled.store(false);
     // Re-check after releasing the token: ResumeParked may have swept
@@ -796,7 +790,9 @@ void CampaignManager::Step(Campaign* c) {
   obs::ScopedTimer quantum_timer(metrics.quantum_seconds);
   obs::TraceSpan quantum_span("quantum");
   quantum_span.set_arg(static_cast<int64_t>(c->id));
-  const int64_t quantum = scheduler_->Quantum(c->id);
+  const int64_t quantum = options_.deterministic
+                              ? std::numeric_limits<int64_t>::max()
+                              : scheduler_->Quantum(c->id);
   c->quanta_run.fetch_add(1, std::memory_order_relaxed);
 
   if (!c->begun) {
@@ -823,15 +819,7 @@ void CampaignManager::Step(Campaign* c) {
       Finalize(c, CampaignState::kCancelled, "");
       return;
     }
-    if (c->quarantine_requested.load()) {
-      std::string error;
-      {
-        util::MutexLock lock(&c->status_mu);
-        error = c->quarantine_error;
-      }
-      Quarantine(c, std::move(error));
-      return;
-    }
+    if (QuarantineIfRequested(c)) return;
 
     // Drain the inbox into the reusable scratch buffer (one lock, no
     // allocation: the swap ping-pongs the warmed-up capacities), then
@@ -901,31 +889,14 @@ void CampaignManager::Step(Campaign* c) {
     // Assignment phase: a new batch is drawn only once the previous one
     // is fully applied, mirroring the synchronous engine's semantics.
     if (!c->runtime.done() && c->pending.empty()) {
-      util::Status status = c->runtime.DrawBatch(&c->batch);
+      util::Status status = DrawNext(c);
       if (!status.ok()) {
         Finalize(c, CampaignState::kFailed, status.ToString());
         return;
       }
       if (c->batch.empty()) continue;  // stopped early; loop finalizes
-      c->tasks.clear();
-      c->tasks.reserve(c->batch.size());
-      for (core::ResourceId resource : c->batch) {
-        c->tasks.push_back(TaskHandle{c->id, resource, c->next_assign_seq});
-        c->pending.push_back(resource);
-        ++c->next_assign_seq;
-      }
       PublishStatus(c);
-      // May complete some tasks synchronously (inline source): their
-      // completion spans land in the inbox and the next loop iteration
-      // applies them. The token stays with us, so re-schedule attempts
-      // by those callbacks are cheap no-ops.
-      if (!source_->SubmitTasks(c->tasks, c->completion_fn)) {
-        // The source dropped part of the batch (it was stopped): those
-        // completions can never arrive, so fail fast instead of leaving
-        // the campaign kRunning forever (ISSUE 2).
-        Finalize(c, CampaignState::kFailed, kSourceClosedError);
-        return;
-      }
+      if (!SubmitPending(c)) return;
       continue;
     }
 
@@ -972,36 +943,44 @@ void CampaignManager::Finalize(Campaign* c, CampaignState state,
     }
     c->journal->Sync();
   }
-  // Keep the token forever: no further steps can be scheduled, and late
-  // completions are dropped in OnCompletion via `finalized`.
+  // The report is in place before Retire publishes the terminal state,
+  // so any reader that sees the state sees the report too.
+  if (state != CampaignState::kFailed) {
+    util::MutexLock lock(&c->status_mu);
+    if (c->begun) {
+      c->report = c->runtime.Finish();
+      // A cancellation that left budget unspent stopped the run early in
+      // the RunReport sense, even though the strategy never declined.
+      if (state == CampaignState::kCancelled &&
+          c->report.budget_spent < c->config.options.budget) {
+        c->report.stopped_early = true;
+      }
+      c->metrics = c->report.final_metrics;
+      c->budget_spent = c->report.budget_spent;
+      c->tasks_completed = c->runtime.tasks_completed();
+      c->checkpoints_recorded = c->report.checkpoints.size();
+    } else {
+      // Cancelled before Begin: synthesize the report from the config so
+      // it is distinguishable from a real (if empty) run rather than a
+      // default-constructed one.
+      c->report.strategy_name = c->strategy_name;
+      c->report.allocation.assign(c->config.initial_posts->size(), 0);
+      c->report.budget_spent = 0;
+      c->report.stopped_early = c->config.options.budget > 0;
+    }
+  }
+  Retire(c, state, std::move(error));
+}
+
+// The terminal tail Finalize and Quarantine share. The campaign keeps its
+// token forever: no further steps can be scheduled, and late completions
+// are dropped in OnCompletionBatch via `finalized`.
+void CampaignManager::Retire(Campaign* c, CampaignState state,
+                             std::string error) {
   {
     util::MutexLock lock(&c->status_mu);
     c->state = state;
     c->error = std::move(error);
-    if (state != CampaignState::kFailed) {
-      if (c->begun) {
-        c->report = c->runtime.Finish();
-        // A cancellation that left budget unspent stopped the run early
-        // in the RunReport sense, even though the strategy never
-        // declined.
-        if (state == CampaignState::kCancelled &&
-            c->report.budget_spent < c->config.options.budget) {
-          c->report.stopped_early = true;
-        }
-        c->metrics = c->report.final_metrics;
-        c->budget_spent = c->report.budget_spent;
-        c->tasks_completed = c->runtime.tasks_completed();
-        c->checkpoints_recorded = c->report.checkpoints.size();
-      } else {
-        // Cancelled before Begin: synthesize the report from the config
-        // so it is distinguishable from a real (if empty) run — the
-        // default-constructed report used to leak out here (ISSUE 2).
-        c->report.strategy_name = c->strategy_name;
-        c->report.allocation.assign(c->config.initial_posts->size(), 0);
-        c->report.budget_spent = 0;
-        c->report.stopped_early = c->config.options.budget > 0;
-      }
-    }
     c->tasks_in_flight = static_cast<int64_t>(c->pending.size());
     c->queue_delay_seconds = c->queue_delay_s;
     c->elapsed_seconds = c->begun ? c->started.ElapsedSeconds() : 0.0;
@@ -1040,28 +1019,8 @@ void CampaignManager::Quarantine(Campaign* c, std::string error) {
   if (sink_ != nullptr && c->journal != nullptr) {
     sink_->Untrack(c->journal.get());
   }
-  {
-    util::MutexLock lock(&c->status_mu);
-    c->state = CampaignState::kQuarantined;
-    c->error = std::move(error);
-    c->tasks_in_flight = static_cast<int64_t>(c->pending.size());
-    c->queue_delay_seconds = c->queue_delay_s;
-    c->elapsed_seconds = c->begun ? c->started.ElapsedSeconds() : 0.0;
-    c->final_deadline_slack_seconds = c->DeadlineSlackNow();
-  }
-  scheduler_->Unregister(c->id);
-  scheduler_->compaction_budget().Forget(c->id);
-  c->finalized.store(true);
-  {
-    util::MutexLock lock(&c->inbox_mu);
-    if (!c->inbox.empty()) {
-      ServiceMetrics::Get().inbox_depth->Add(
-          -static_cast<int64_t>(c->inbox.size()));
-      c->inbox.clear();
-    }
-  }
   QuarantinesCounter()->Increment();
-  c->terminal_cv.NotifyAll();
+  Retire(c, CampaignState::kQuarantined, std::move(error));
 }
 
 // Sink-thread callback: the retry ladder exhausted (or hit a permanent
@@ -1071,30 +1030,19 @@ void CampaignManager::Quarantine(Campaign* c, std::string error) {
 // (a commit already in flight when the campaign untracked) are no-ops.
 void CampaignManager::OnWriterSick(persist::JournalWriter* writer,
                                    const util::Status& status) {
-  for (const auto& shard : shards_) {
-    Campaign* found = nullptr;
-    {
-      util::MutexLock lock(&shard->mu);
-      for (const auto& [id, campaign] : shard->campaigns) {
-        // `journal` is set before registration and never reassigned, so
-        // reading the pointer under the shard lock is safe.
-        if (campaign->journal.get() == writer) {
-          found = campaign.get();
-          break;
-        }
-      }
-    }
-    if (found == nullptr) continue;
-    if (found->finalized.load() ||
-        found->quarantine_requested.exchange(true)) {
+  // `journal` is set before registration and never reassigned, so the
+  // pointer is safe to read once the registry has handed the campaign out.
+  for (Campaign* c : Campaigns()) {
+    if (c->journal.get() != writer) continue;
+    if (c->finalized.load() || c->quarantine_requested.exchange(true)) {
       return;
     }
     {
-      util::MutexLock lock(&found->status_mu);
-      found->quarantine_error =
+      util::MutexLock lock(&c->status_mu);
+      c->quarantine_error =
           "journal sync failed permanently: " + status.ToString();
     }
-    if (!options_.deterministic) ScheduleStep(found);
+    if (!options_.deterministic) ScheduleStep(c);
     return;
   }
 }
@@ -1104,16 +1052,8 @@ void CampaignManager::OnWriterSick(persist::JournalWriter* writer,
 // a re-park is harmless if the health flaps back before the step runs.
 void CampaignManager::ResumeParked() {
   if (options_.deterministic) return;
-  std::vector<Campaign*> parked;
-  for (const auto& shard : shards_) {
-    util::MutexLock lock(&shard->mu);
-    for (const auto& [id, campaign] : shard->campaigns) {
-      if (campaign->parked.load()) parked.push_back(campaign.get());
-    }
-  }
-  for (Campaign* c : parked) {
-    c->parked.store(false);
-    if (!c->finalized.load()) ScheduleStep(c);
+  for (Campaign* c : Campaigns()) {
+    if (c->parked.exchange(false) && !c->finalized.load()) ScheduleStep(c);
   }
 }
 
@@ -1176,10 +1116,7 @@ util::Result<CampaignStatus> CampaignManager::Status(CampaignId id) const {
 
 CampaignPage CampaignManager::List(const ListQuery& query) const {
   std::vector<CampaignId> ids;
-  for (const auto& shard : shards_) {
-    util::MutexLock lock(&shard->mu);
-    for (const auto& [id, campaign] : shard->campaigns) ids.push_back(id);
-  }
+  for (const Campaign* c : Campaigns()) ids.push_back(c->id);
   std::sort(ids.begin(), ids.end());
 
   CampaignPage page;
@@ -1252,12 +1189,7 @@ util::Result<CampaignResult> CampaignManager::WaitFor(
 }
 
 void CampaignManager::WaitAll() {
-  std::vector<CampaignId> ids;
-  for (const auto& shard : shards_) {
-    util::MutexLock lock(&shard->mu);
-    for (const auto& [id, campaign] : shard->campaigns) ids.push_back(id);
-  }
-  for (CampaignId id : ids) Wait(id);
+  for (const Campaign* c : Campaigns()) Wait(c->id);
 }
 
 util::Result<std::vector<CampaignId>> CampaignManager::Recover(
@@ -1315,15 +1247,12 @@ util::Result<std::vector<CampaignId>> CampaignManager::Recover(
   return out;
 }
 
-// Resurrects one parsed-and-validated journal. Runs on the calling
-// thread with the campaign's scheduling token held throughout the
-// replay.
+// Resurrects one parsed-and-validated journal on the calling thread,
+// which holds the campaign's scheduling token until Step or the
+// scheduler takes over.
 util::Result<CampaignId> CampaignManager::RecoverOne(
     const std::string& path, const persist::JournalContents& contents,
     CampaignConfig config) {
-  const std::vector<persist::CompletionRecord>& trace =
-      contents.completions;
-
   // Keep the campaign's pre-crash id when the file name encodes one (ids
   // are then stable across restarts), and move next_id_ past it so a
   // later Submit can never be handed an id whose journal file this
@@ -1337,11 +1266,8 @@ util::Result<CampaignId> CampaignManager::RecoverOne(
   } else {
     id = next_id_.fetch_add(1);
   }
-  auto campaign = std::make_unique<Campaign>(id, std::move(config));
+  auto campaign = std::make_unique<Campaign>(this, id, std::move(config));
   Campaign* c = campaign.get();
-  c->completion_fn = [this, c](std::span<const TaskHandle> tasks) {
-    OnCompletionBatch(c, tasks);
-  };
 
   // A crash mid-compaction can leave a temp rewrite next to the journal;
   // it was never renamed, so it is dead weight — the journal itself is
@@ -1352,7 +1278,6 @@ util::Result<CampaignId> CampaignManager::RecoverOne(
   // append post-recovery completions after the last intact record.
   auto writer = persist::JournalWriter::Open(path, contents.valid_bytes);
   if (!writer.ok()) return writer.status();
-  c->journal = std::move(writer).value();
   c->submit_record = contents.submit;
   // Bytes-trigger baseline: a snapshot-bearing journal counts as freshly
   // compacted (only post-recovery growth should re-trigger); a legacy
@@ -1366,16 +1291,55 @@ util::Result<CampaignId> CampaignManager::RecoverOne(
   // unsynchronized.
   EnsureJournalWorkers();
 
+  c->scheduled.store(true);  // the recovering thread is the stepper
+  c->queue_delay_s = c->submitted.ElapsedSeconds();
+  c->started.Restart();
+  // The writer is attached only after replay: ApplyRun then applies the
+  // recorded runs without journaling them a second time.
+  const bool replayed = Replay(c, contents);
+  c->journal = std::move(writer).value();
   INCENTAG_RETURN_IF_ERROR(TryRegister(id, std::move(campaign)));
   // The file survived the crash (and ApplyCommitLog already folded any
   // logged patches into it), so it is durable to the truncated size —
   // the fsync domain's tracking precondition.
   sink_->Track(c->journal.get());
+  if (!replayed) return id;
 
-  // ---- replay: seek to the latest snapshot, replay only the tail ----
-  c->scheduled.store(true);  // the recovering thread is the stepper
-  c->queue_delay_s = c->submitted.ElapsedSeconds();
-  c->started.Restart();
+  // ---- resume from exactly where the journal ends ----
+  if (contents.cancelled) {
+    // The operator cancelled this campaign before the restart; recovery
+    // rebuilds its partial report but must not resume its spend.
+    // (`user_cancelled` stays false, so no duplicate cancel record.)
+    Finalize(c, CampaignState::kCancelled, "");
+    return id;
+  }
+  // Rejoin the fleet under the recovered scheduling class (journaled in
+  // the SubmitRecord); a deadline restarts from the recovery clock.
+  if (!options_.deterministic) {
+    scheduler_->Register(id,
+                         ScheduleParams{c->priority, c->deadline_seconds});
+  }
+  PublishStatus(c);
+  // The tail of the last recorded batch never completed before the
+  // crash; the source gets it now, and Step applies it and carries on.
+  if (!SubmitPending(c)) return id;
+  if (options_.deterministic) {
+    Step(c);
+  } else {
+    EnqueueDispatch(c);
+  }
+  return id;
+}
+
+// Rebuilds a recovering campaign from its journal: restores the latest
+// snapshot when there is one (otherwise Begins afresh), then replays the
+// recorded tail batch by batch — each record checked against the draw it
+// replays, each batch applied with one ApplyRun before the next DrawBatch,
+// the order Step uses. Returns false after finalizing the campaign
+// kFailed.
+bool CampaignManager::Replay(Campaign* c,
+                             const persist::JournalContents& contents) {
+  const std::vector<persist::CompletionRecord>& trace = contents.completions;
   uint64_t replay_from = 0;
   if (contents.has_snapshot) {
     // Restore the campaign's full resumable state from the snapshot;
@@ -1390,15 +1354,14 @@ util::Result<CampaignId> CampaignManager::RecoverOne(
     if (!restored.ok()) {
       Finalize(c, CampaignState::kFailed,
                "journal snapshot failed to restore: " + restored.ToString());
-      return id;
+      return false;
     }
     c->begun = true;
     c->next_apply_seq = contents.snapshot.num_completions;
     c->next_assign_seq = contents.snapshot.next_assign_seq;
     c->last_compact_seq = contents.snapshot.num_completions;
-    for (core::ResourceId resource : contents.snapshot.pending) {
-      c->pending.push_back(resource);
-    }
+    c->pending.assign(contents.snapshot.pending.begin(),
+                      contents.snapshot.pending.end());
     replay_from = contents.snapshot.num_completions;
   } else {
     // No usable snapshot. Full replay works when the completion trace
@@ -1420,107 +1383,65 @@ util::Result<CampaignId> CampaignManager::RecoverOne(
                         : "starts at seq " +
                               std::to_string(trace.front().seq)) +
                    ": full replay impossible");
-      return id;
+      return false;
     }
     util::Status status =
         c->runtime.Begin(c->config.strategy.get(), c->config.stream.get());
     if (!status.ok()) {
       Finalize(c, CampaignState::kFailed, status.ToString());
-      return id;
+      return false;
     }
     c->begun = true;
   }
+  // Records the snapshot already summarizes (an uncompacted journal with
+  // an inline checkpoint still carries them) lead the trace: the journal
+  // is written in seq order.
+  size_t i = 0;
+  while (i < trace.size() && trace[i].seq < replay_from) ++i;
   int64_t replayed = 0;
-  for (size_t i = 0; i < trace.size(); ++i) {
-    // Records the snapshot already summarizes (an uncompacted journal
-    // with an inline checkpoint still carries them).
-    if (trace[i].seq < replay_from) continue;
+  while (i < trace.size()) {
     if (c->pending.empty()) {
-      util::Status status = c->runtime.DrawBatch(&c->batch);
+      util::Status status = DrawNext(c);
       if (!status.ok()) {
         Finalize(c, CampaignState::kFailed, status.ToString());
-        return id;
+        return false;
       }
       if (c->batch.empty()) {
         Finalize(c, CampaignState::kFailed,
                  "journal replay diverged: " + std::to_string(trace.size()) +
                      " recorded completions but the campaign stopped after " +
                      std::to_string(i));
-        return id;
-      }
-      for (core::ResourceId resource : c->batch) {
-        c->pending.push_back(resource);
-        ++c->next_assign_seq;
+        return false;
       }
     }
     // The journal records completions in application (= assignment)
     // order; any divergence means the factory rebuilt a different
     // campaign (wrong seed, options, or dataset) and replaying further
     // would fabricate state.
-    if (trace[i].seq != c->next_apply_seq ||
-        trace[i].resource != c->pending.front()) {
-      Finalize(c, CampaignState::kFailed,
-               "journal replay diverged at record " + std::to_string(i) +
-                   ": recorded seq " + std::to_string(trace[i].seq) +
-                   "/resource " + std::to_string(trace[i].resource) +
-                   ", replay expected seq " +
-                   std::to_string(c->next_apply_seq) + "/resource " +
-                   std::to_string(c->pending.front()));
-      return id;
+    c->apply_run.clear();
+    for (; i < trace.size() && !c->pending.empty(); ++i) {
+      const uint64_t expected = c->next_apply_seq + c->apply_run.size();
+      if (trace[i].seq != expected ||
+          trace[i].resource != c->pending.front()) {
+        Finalize(c, CampaignState::kFailed,
+                 "journal replay diverged at record " + std::to_string(i) +
+                     ": recorded seq " + std::to_string(trace[i].seq) +
+                     "/resource " + std::to_string(trace[i].resource) +
+                     ", replay expected seq " + std::to_string(expected) +
+                     "/resource " + std::to_string(c->pending.front()));
+        return false;
+      }
+      c->apply_run.push_back(c->pending.front());
+      c->pending.pop_front();
     }
-    c->pending.pop_front();
-    c->runtime.ApplyCompletion(trace[i].resource);
-    ++c->next_apply_seq;
-    ++replayed;
+    replayed += static_cast<int64_t>(c->apply_run.size());
+    ApplyRun(c);  // no journal attached yet: cannot fail
   }
-  {
-    // Observability for benches and the recovery demo: how much tail the
-    // snapshot seek left to replay. Guarded because pollers may already
-    // see the registered campaign.
-    util::MutexLock lock(&c->status_mu);
-    c->records_replayed = replayed;
-  }
-
-  // ---- resume live from exactly where the journal ends ----
-  if (contents.cancelled) {
-    // The operator cancelled this campaign before the restart; recovery
-    // rebuilds its partial report but must not resume its spend.
-    // (`user_cancelled` stays false, so no duplicate cancel record.)
-    Finalize(c, CampaignState::kCancelled, "");
-    return id;
-  }
-  if (options_.deterministic) {
-    DriveDeterministic(c);
-    return id;
-  }
-  if (c->runtime.done() && c->pending.empty()) {
-    Finalize(c, CampaignState::kDone, "");
-    return id;
-  }
-  // Rejoin the fleet under the recovered scheduling class (journaled in
-  // the SubmitRecord); a deadline restarts from the recovery clock.
-  scheduler_->Register(id, ScheduleParams{c->priority, c->deadline_seconds});
-  if (!c->pending.empty()) {
-    // The tail of the last recorded batch never completed before the
-    // crash; hand it to the live completion source now.
-    c->tasks.clear();
-    c->tasks.reserve(c->pending.size());
-    uint64_t seq = c->next_apply_seq;
-    for (core::ResourceId resource : c->pending) {
-      c->tasks.push_back(TaskHandle{c->id, resource, seq++});
-    }
-    PublishStatus(c);
-    if (!source_->SubmitTasks(c->tasks, c->completion_fn)) {
-      Finalize(c, CampaignState::kFailed, kSourceClosedError);
-      return id;
-    }
-  }
-  PublishStatus(c);
-  // Keep the token and hand the campaign to the scheduler; the dispatch
-  // steps it from the replayed state (draining whatever the source
-  // completed inline).
-  EnqueueDispatch(c);
-  return id;
+  // Observability for benches and the recovery demo: how much tail the
+  // snapshot seek left to replay.
+  util::MutexLock lock(&c->status_mu);
+  c->records_replayed = replayed;
+  return true;
 }
 
 void CampaignManager::Shutdown() {
@@ -1536,13 +1457,7 @@ void CampaignManager::Shutdown() {
     if (pool_ != nullptr) {
       // Sweep every live campaign into cancellation, wait for the steps
       // to finalize them, then drain and join the pool.
-      std::vector<Campaign*> live;
-      for (const auto& shard : shards_) {
-        util::MutexLock lock(&shard->mu);
-        for (const auto& [id, campaign] : shard->campaigns) {
-          live.push_back(campaign.get());
-        }
-      }
+      const std::vector<Campaign*> live = Campaigns();
       for (Campaign* c : live) {
         c->cancel_requested.store(true);
         if (!c->finalized.load()) ScheduleStep(c);

@@ -43,10 +43,11 @@
 //     scheduler's top-ranked campaign. The scheduler also owns the
 //     fleet-wide compaction budget (max_concurrent_compactions).
 //
-// Deterministic mode (ManagerOptions::deterministic) runs each campaign
-// synchronously inside Submit on the calling thread, byte-identical to
-// AllocationEngine::Run for the same inputs (it drives the same
-// CampaignRuntime step protocol in the same order).
+// One drive loop: Step. Deterministic mode (ManagerOptions::deterministic)
+// holds the campaign's token and calls Step once inside Submit, with an
+// unbounded quantum and the inline completion source — byte-identical to
+// AllocationEngine::Run for the same inputs, because it draws and applies
+// in the same order.
 //
 // Durability (ManagerOptions::journal_dir): each campaign appends a
 // write-ahead journal — one persist::SubmitRecord at Submit, one
@@ -54,9 +55,10 @@
 // persist::JournalSink thread. Recover(dir, factory) rebuilds campaigns
 // from their journals after a crash: the factory re-attaches the
 // non-serializable inputs (dataset pointers, strategy, stream) from the
-// journaled SubmitRecord, the manager replays the recorded completions
-// through the deterministic step protocol, and the campaign continues
-// live from exactly where the journal ends.
+// journaled SubmitRecord, the manager replays the recorded batches
+// through ApplyRun (before the journal writer is attached, so nothing is
+// journaled twice), and the campaign resumes through Step from exactly
+// where the journal ends.
 #ifndef INCENTAG_SERVICE_CAMPAIGN_MANAGER_H_
 #define INCENTAG_SERVICE_CAMPAIGN_MANAGER_H_
 
@@ -219,9 +221,10 @@ struct ManagerOptions {
   // tasks_per_step. Campaigns carry their own class in
   // core::EngineOptions::priority / deadline_seconds.
   SchedulerOptions scheduler;
-  // Tagger crowd; null means an internal InlineCompletionSource. An
-  // external source must outlive the manager AND be stopped/quiesced
-  // before the manager is destroyed (its callbacks touch manager state).
+  // Tagger crowd; null means an internal InlineCompletionSource, which
+  // deterministic mode always uses. An external source must outlive the
+  // manager AND be stopped/quiesced before the manager is destroyed (its
+  // callbacks touch manager state).
   CompletionSource* completions = nullptr;
   // Registry shards; more shards = less contention on Submit/Status.
   int num_shards = 16;
@@ -297,15 +300,15 @@ class CampaignManager {
   // which is truncated), asks `factory` for a fresh CampaignConfig,
   // seeks to the latest checkpoint snapshot (format v2) when one exists
   // — restoring the serialized runtime/strategy/stream state, then
-  // replaying only the tail — and otherwise replays the whole trace
-  // through the deterministic step protocol; Algorithm 1's determinism
-  // makes either path byte-identical to the pre-crash run. The campaign
-  // then resumes live, appending new completions to the same journal. A
-  // snapshot whose record does not decode falls back to full replay
-  // when the trace still starts at seq 0 and fails the campaign when
-  // its prefix was compacted away. Files without an
-  // intact SubmitRecord (a crash between journal creation and the submit
-  // fsync) are skipped. Returns the new ids in journal-file order; a
+  // replaying only the tail — and otherwise replays the whole trace,
+  // batch by batch through the apply path Step uses; Algorithm 1's
+  // determinism makes either path byte-identical to the pre-crash run.
+  // The campaign then resumes through Step, appending new completions to
+  // the same journal. A snapshot whose record does not decode falls back
+  // to full replay when the trace still starts at seq 0 and fails the
+  // campaign when its prefix was compacted away. Files without an intact
+  // SubmitRecord (a crash between journal creation and the submit fsync)
+  // are skipped. Returns the new ids in journal-file order; a
   // journal that diverges from the replay finalizes its campaign as
   // kFailed rather than failing the whole recovery. A journal named
   // `campaign-<id>.journal` resurrects under its original id (ids are
@@ -374,18 +377,24 @@ class CampaignManager {
   struct Shard;
 
   Campaign* Find(CampaignId id) const;
+  std::vector<Campaign*> Campaigns() const;
   util::Status TryRegister(CampaignId id,
                            std::unique_ptr<Campaign> campaign);
   void ScheduleStep(Campaign* campaign);
   void EnqueueDispatch(Campaign* campaign);
   void DispatchStep();
   void Step(Campaign* campaign);
-  void RunDeterministic(Campaign* campaign);
-  void DriveDeterministic(Campaign* campaign);
+  util::Status DrawNext(Campaign* campaign);
+  // False (campaign finalized kFailed) when the source is closed.
+  bool SubmitPending(Campaign* campaign);
+  bool QuarantineIfRequested(Campaign* campaign);
   util::Result<CampaignId> RecoverOne(const std::string& path,
                                       const persist::JournalContents& contents,
                                       CampaignConfig config);
+  // False (campaign finalized kFailed) when the journal cannot be replayed.
+  bool Replay(Campaign* campaign, const persist::JournalContents& contents);
   void Finalize(Campaign* campaign, CampaignState state, std::string error);
+  void Retire(Campaign* campaign, CampaignState state, std::string error);
   void PublishStatus(Campaign* campaign);
   void OnCompletionBatch(Campaign* campaign,
                          std::span<const TaskHandle> tasks);

@@ -1,6 +1,7 @@
 #include "src/service/campaign_manager.h"
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -170,6 +171,41 @@ TEST_F(CampaignManagerTest, DeterministicModeMatchesEngineExactly) {
     ExpectReportsEqual(RunSequential(kind, budget, fc_seed), got.value(),
                        "kind " + std::to_string(kind));
   }
+}
+
+// Deterministic mode completes inline whatever source is configured: a
+// source that swallows every task must not stall it, and Submit returns
+// with the campaign already done.
+TEST_F(CampaignManagerTest, DeterministicModeIgnoresExternalSource) {
+  class DropAllSource : public CompletionSource {
+   public:
+    bool SubmitTasks(const std::vector<TaskHandle>& tasks,
+                     const CompletionFn&) override {
+      dropped += static_cast<int64_t>(tasks.size());
+      return true;
+    }
+    int64_t dropped = 0;
+  };
+  DropAllSource source;
+  ManagerOptions options;
+  options.deterministic = true;
+  options.completions = &source;
+  CampaignManager manager(options);
+  for (int kind = 0; kind < 5; ++kind) {
+    const int64_t budget = 150 + 30 * kind;
+    const uint64_t fc_seed = 41 + static_cast<uint64_t>(kind);
+    auto id = manager.Submit(MakeConfig(kind, budget, fc_seed));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    auto status = manager.Status(id.value());
+    ASSERT_TRUE(status.ok()) << status.status().ToString();
+    EXPECT_EQ(status.value().state, CampaignState::kDone);
+    auto got = manager.WaitFor(id.value(), std::chrono::seconds(5));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got.value().state, CampaignState::kDone);
+    ExpectReportsEqual(RunSequential(kind, budget, fc_seed),
+                       got.value().report, "kind " + std::to_string(kind));
+  }
+  EXPECT_EQ(source.dropped, 0);
 }
 
 TEST_F(CampaignManagerTest, ConcurrentInlineMatchesEngine) {

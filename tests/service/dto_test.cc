@@ -68,6 +68,24 @@ TEST(SubmitDecode, Rejections) {
   }
 }
 
+// Names are capped at kMaxCampaignNameBytes: the limit itself decodes,
+// one byte over is a 400.
+TEST(SubmitDecode, NameLengthBoundary) {
+  auto body = [](size_t name_bytes) {
+    return MustParse(R"({"name":")" + std::string(name_bytes, 'x') +
+                     R"(","strategy":"rr","budget":1})");
+  };
+  constexpr size_t kMax = SubmitCampaignRequest::kMaxCampaignNameBytes;
+  auto at_limit = DecodeSubmitCampaignRequest(body(kMax));
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  EXPECT_EQ(at_limit.value().name.size(), kMax);
+
+  auto over = DecodeSubmitCampaignRequest(body(kMax + 1));
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(HttpStatusFor(over.status().code()), 400);
+}
+
 TEST(CompletionBatchDecode, ValidAndInvalid) {
   auto req = DecodeCompletionBatchRequest(MustParse(
       R"({"completions":[{"seq":0,"resource":12},{"seq":1,"resource":3}]})"));

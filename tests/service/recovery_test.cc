@@ -434,6 +434,50 @@ TEST_F(RecoveryTest, KillDuringBatchAppendRecoversByteIdentically) {
   }
 }
 
+// Replay rebuilds state from the journal without writing to it: with a
+// source that never completes a task, recovering a torn journal leaves
+// exactly its intact prefix on disk, so a second recovery of the same
+// directory replays the same records.
+TEST_F(RecoveryTest, ReplayAppendsNothingToTheJournal) {
+  KillMidRun(/*kind=*/3, /*budget=*/300, /*seed=*/13, /*kill_after=*/120);
+  auto files = util::ListDirFiles(dir_.string(), ".journal");
+  ASSERT_TRUE(files.ok());
+  ASSERT_EQ(files.value().size(), 1u);
+  const std::string journal = files.value()[0];
+  fs::resize_file(journal, fs::file_size(journal) - 5);  // tear the tail
+  auto contents = persist::ReadJournal(journal);
+  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+  const auto intact = static_cast<uintmax_t>(contents.value().valid_bytes);
+  ASSERT_GT(contents.value().completions.size(), 0u);
+
+  int64_t first_replayed = -1;
+  for (int round = 0; round < 2; ++round) {
+    LimitedCompletionSource silent(/*limit=*/0);
+    ManagerOptions options;
+    options.num_threads = 2;
+    options.completions = &silent;
+    CampaignManager manager(options);
+    auto ids = manager.Recover(dir_.string(), Factory);
+    ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+    ASSERT_EQ(ids.value().size(), 1u);
+    // Give the resumed campaign time to step; it can only wait.
+    auto result = manager.WaitFor(ids.value()[0], milliseconds(100));
+    EXPECT_FALSE(result.ok());
+    EXPECT_EQ(fs::file_size(journal), intact) << "round " << round;
+    auto status = manager.Status(ids.value()[0]);
+    ASSERT_TRUE(status.ok()) << status.status().ToString();
+    EXPECT_EQ(status.value().state, CampaignState::kRunning);
+    EXPECT_GT(status.value().records_replayed, 0);
+    if (round == 0) {
+      first_replayed = status.value().records_replayed;
+    } else {
+      EXPECT_EQ(status.value().records_replayed, first_replayed);
+    }
+    manager.Shutdown();
+    EXPECT_EQ(fs::file_size(journal), intact) << "round " << round;
+  }
+}
+
 // A journal replayed against the wrong inputs (different seed => the
 // strategy chooses differently) must fail that campaign loudly, not
 // fabricate state.
