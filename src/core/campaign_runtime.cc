@@ -120,6 +120,41 @@ class Evaluation {
 
 }  // namespace internal
 
+InitialState::InitialState(const std::vector<PostSequence>* initial_posts,
+                           const std::vector<ResourceReference>* references,
+                           int omega, int64_t under_tagged_threshold)
+    : initial_posts_(initial_posts),
+      references_(references),
+      omega_(omega),
+      under_tagged_threshold_(under_tagged_threshold) {
+  assert(initial_posts_ != nullptr && references_ != nullptr);
+  assert(initial_posts_->size() == references_->size());
+  // Build the observable states from the initial ("January") posts and
+  // mirror them into the evaluation.
+  const size_t n = initial_posts_->size();
+  states_.reserve(n);
+  for (size_t i = 0; i < n; ++i) states_.emplace_back(omega_);
+  eval_ = std::make_unique<internal::Evaluation>(states_, *references_,
+                                                 under_tagged_threshold_);
+  for (size_t i = 0; i < n; ++i) {
+    for (const Post& post : (*initial_posts_)[i]) {
+      states_[i].AddPost(post);
+      eval_->ReplayInitialPost(i, post, states_[i].counts().norm_squared());
+    }
+  }
+  eval_->Finalize(states_);
+}
+
+InitialState::~InitialState() = default;
+
+bool InitialState::BuiltFor(const std::vector<PostSequence>* initial_posts,
+                            const std::vector<ResourceReference>* references,
+                            const EngineOptions& options) const {
+  return initial_posts_ == initial_posts && references_ == references &&
+         omega_ == options.omega &&
+         under_tagged_threshold_ == options.under_tagged_threshold;
+}
+
 CampaignRuntime::CampaignRuntime(
     EngineOptions options, const std::vector<PostSequence>* initial_posts,
     const std::vector<ResourceReference>* references)
@@ -153,7 +188,8 @@ void CampaignRuntime::RecordCheckpointsThrough(int64_t budget_used) {
   }
 }
 
-util::Status CampaignRuntime::Begin(Strategy* strategy, PostStream* stream) {
+util::Status CampaignRuntime::Begin(Strategy* strategy, PostStream* stream,
+                                    const InitialState* initial) {
   const size_t n = initial_posts_->size();
   if (stream->num_resources() != n) {
     return util::Status::InvalidArgument(
@@ -166,22 +202,21 @@ util::Status CampaignRuntime::Begin(Strategy* strategy, PostStream* stream) {
     return util::Status::InvalidArgument(
         "cost model resource count does not match the engine's");
   }
+  std::unique_ptr<InitialState> own;
+  if (initial == nullptr) {
+    own = std::make_unique<InitialState>(initial_posts_, references_,
+                                         options_.omega,
+                                         options_.under_tagged_threshold);
+    initial = own.get();
+  } else if (!initial->BuiltFor(initial_posts_, references_, options_)) {
+    return util::Status::InvalidArgument(
+        "initial state was built for another dataset, omega or "
+        "under-tagged threshold");
+  }
   strategy_ = strategy;
   stream_ = stream;
-
-  // Build the observable states from the initial ("January") posts and
-  // mirror them into the evaluation.
-  states_.reserve(n);
-  for (size_t i = 0; i < n; ++i) states_.emplace_back(options_.omega);
-  eval_ = std::make_unique<internal::Evaluation>(
-      states_, *references_, options_.under_tagged_threshold);
-  for (size_t i = 0; i < n; ++i) {
-    for (const Post& post : (*initial_posts_)[i]) {
-      states_[i].AddPost(post);
-      eval_->ReplayInitialPost(i, post, states_[i].counts().norm_squared());
-    }
-  }
-  eval_->Finalize(states_);
+  states_ = initial->states_;
+  eval_ = std::make_unique<internal::Evaluation>(*initial->eval_);
 
   ctx_.states = &states_;
   ctx_.omega = options_.omega;

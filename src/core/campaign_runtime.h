@@ -11,7 +11,7 @@
 // CampaignRuntime is that decomposition. The step protocol is:
 //
 //   CampaignRuntime rt(options, &initial_posts, &references);
-//   rt.Begin(strategy, stream);             // build states, Init, t=0
+//   rt.Begin(strategy, stream, &initial);   // copy states, Init, t=0
 //   while (!rt.done()) {
 //     rt.DrawBatch(&batch);                 // assignment phase
 //     if (batch.empty()) break;             // strategy stopped early
@@ -19,6 +19,13 @@
 //       rt.ApplyCompletion(r);              // completion phase
 //   }
 //   RunReport report = rt.Finish();
+//
+// `initial` is the InitialState of the dataset: the states and the
+// evaluation after replaying the initial ("January") posts, which every
+// campaign over those posts shares (paper Section V-A). Begin copies
+// them; a caller that passes none gets a private one built for it, so a
+// fleet builds the state once per dataset while a lone run builds its
+// own.
 //
 // Driving the protocol straight through (as AllocationEngine::Run now
 // does, and as CampaignManager's deterministic mode does) reproduces the
@@ -47,6 +54,36 @@ namespace internal {
 class Evaluation;
 }  // namespace internal
 
+// The starting state of every campaign over one dataset under one
+// (omega, under_tagged_threshold): the observable states after replaying
+// the initial posts, and the finalized evaluation mirroring them.
+// Immutable once built, so any number of runtimes may Begin from one
+// concurrently. Both vectors must outlive the state and every runtime
+// begun from it, and have equal size.
+class InitialState {
+ public:
+  InitialState(const std::vector<PostSequence>* initial_posts,
+               const std::vector<ResourceReference>* references, int omega,
+               int64_t under_tagged_threshold);
+  ~InitialState();
+
+  // True when this state is what Begin would build for a runtime over
+  // these inputs.
+  bool BuiltFor(const std::vector<PostSequence>* initial_posts,
+                const std::vector<ResourceReference>* references,
+                const EngineOptions& options) const;
+
+ private:
+  friend class CampaignRuntime;
+
+  const std::vector<PostSequence>* initial_posts_;
+  const std::vector<ResourceReference>* references_;
+  int omega_;
+  int64_t under_tagged_threshold_;
+  std::vector<ResourceState> states_;
+  std::unique_ptr<internal::Evaluation> eval_;
+};
+
 class CampaignRuntime {
  public:
   // Pointers must outlive the runtime and have equal size (same contract
@@ -60,11 +97,14 @@ class CampaignRuntime {
   CampaignRuntime(const CampaignRuntime&) = delete;
   CampaignRuntime& operator=(const CampaignRuntime&) = delete;
 
-  // Validates the configuration, builds the observable states from the
-  // initial posts, mirrors them into the evaluation, runs strategy->Init
-  // and records the t=0 checkpoint. `strategy` and `stream` must outlive
-  // the runtime; the stream's cursors are consumed.
-  util::Status Begin(Strategy* strategy, PostStream* stream);
+  // Validates the configuration, copies the observable states and the
+  // evaluation from `initial` (built here when null), runs
+  // strategy->Init and records the t=0 checkpoint. `strategy` and
+  // `stream` must outlive the runtime; the stream's cursors are
+  // consumed. `initial` is only read during the call, and must have been
+  // built for this runtime's dataset, omega and under_tagged_threshold.
+  util::Status Begin(Strategy* strategy, PostStream* stream,
+                     const InitialState* initial = nullptr);
 
   // Assignment phase: fills `batch` with up to options.batch_size
   // resource ids whose budget is now committed (strategy->OnAssigned has

@@ -86,6 +86,14 @@ constexpr int64_t kMaxBufferedJournalBytes = 4 << 20;
 // fired, reclaiming disk while ENOSPC is the fleet's binding constraint.
 constexpr int64_t kDegradedCompactBytes = 64 << 10;
 
+obs::Counter* InitialStateBuildsCounter() {
+  static obs::Counter* counter = obs::Registry::Default().GetCounter(
+      "incentag_service_initial_state_builds_total",
+      "Campaign starting states built by replaying a dataset's initial "
+      "posts");
+  return counter;
+}
+
 obs::Counter* QuarantinesCounter() {
   static obs::Counter* counter = obs::Registry::Default().GetCounter(
       "incentag_service_quarantines_total",
@@ -155,7 +163,8 @@ struct CampaignManager::Campaign {
       : id(id_in),
         config(std::move(config_in)),
         strategy_name(config.strategy->name()),
-        runtime(config.options, config.initial_posts, config.references),
+        runtime(std::make_unique<core::CampaignRuntime>(
+            config.options, config.initial_posts, config.references)),
         completion_fn([manager, this](std::span<const TaskHandle> tasks) {
           manager->OnCompletionBatch(this, tasks);
         }) {}
@@ -174,7 +183,8 @@ struct CampaignManager::Campaign {
                                             : 0.0;
 
   // ---- stepper-owned (guarded by the `scheduled` token) ----
-  core::CampaignRuntime runtime;
+  // Null once the campaign is terminal (Retire frees it).
+  std::unique_ptr<core::CampaignRuntime> runtime;
   bool begun = false;
   // Assignment order of in-flight tasks; front corresponds to next_apply.
   std::deque<core::ResourceId> pending;
@@ -496,7 +506,7 @@ bool CampaignManager::ApplyRun(Campaign* c) {
   if (c->apply_run.empty()) return true;
   ServiceMetrics::Get().completion_batch->Observe(
       static_cast<double>(c->apply_run.size()));
-  c->runtime.ApplyCompletionBatch(c->apply_run.data(), c->apply_run.size());
+  c->runtime->ApplyCompletionBatch(c->apply_run.data(), c->apply_run.size());
   if (c->journal != nullptr) {
     c->journal_batch.clear();
     uint64_t seq = c->next_apply_seq;
@@ -540,7 +550,7 @@ bool CampaignManager::ApplyRun(Campaign* c) {
 // Draws the runtime's next batch into c->batch and queues it on
 // `pending` under fresh assignment seqs.
 util::Status CampaignManager::DrawNext(Campaign* c) {
-  INCENTAG_RETURN_IF_ERROR(c->runtime.DrawBatch(&c->batch));
+  INCENTAG_RETURN_IF_ERROR(c->runtime->DrawBatch(&c->batch));
   c->pending.insert(c->pending.end(), c->batch.begin(), c->batch.end());
   c->next_assign_seq += c->batch.size();
   return util::Status::OK();
@@ -703,7 +713,7 @@ void CampaignManager::MaybeCompact(Campaign* c) {
   job.snapshot.next_assign_seq = c->next_assign_seq;
   job.snapshot.pending.assign(c->pending.begin(), c->pending.end());
   util::Status serialized =
-      c->runtime.SerializeResumableState(&job.snapshot.runtime_state);
+      c->runtime->SerializeResumableState(&job.snapshot.runtime_state);
   if (!serialized.ok()) {
     INCENTAG_LOG_ERROR("campaign %llu snapshot failed: %s",
                        static_cast<unsigned long long>(c->id),
@@ -804,8 +814,7 @@ void CampaignManager::Step(Campaign* c) {
     }
     c->queue_delay_s = c->submitted.ElapsedSeconds();
     c->started.Restart();
-    util::Status status =
-        c->runtime.Begin(c->config.strategy.get(), c->config.stream.get());
+    util::Status status = BeginRuntime(c);
     if (!status.ok()) {
       Finalize(c, CampaignState::kFailed, status.ToString());
       return;
@@ -871,7 +880,7 @@ void CampaignManager::Step(Campaign* c) {
     if (!ApplyRun(c)) return;
     MaybeCompact(c);
 
-    if (c->runtime.done() && c->pending.empty()) {
+    if (c->runtime->done() && c->pending.empty()) {
       Finalize(c, CampaignState::kDone, "");
       return;
     }
@@ -888,7 +897,7 @@ void CampaignManager::Step(Campaign* c) {
 
     // Assignment phase: a new batch is drawn only once the previous one
     // is fully applied, mirroring the synchronous engine's semantics.
-    if (!c->runtime.done() && c->pending.empty()) {
+    if (!c->runtime->done() && c->pending.empty()) {
       util::Status status = DrawNext(c);
       if (!status.ok()) {
         Finalize(c, CampaignState::kFailed, status.ToString());
@@ -919,13 +928,34 @@ void CampaignManager::Step(Campaign* c) {
   }
 }
 
+util::Status CampaignManager::BeginRuntime(Campaign* c) {
+  const CampaignConfig& config = c->config;
+  const InitialStateKey key{config.initial_posts, config.references,
+                            config.options.omega,
+                            config.options.under_tagged_threshold};
+  const core::InitialState* initial = nullptr;
+  {
+    util::MutexLock lock(&initial_states_mu_);
+    std::shared_ptr<const core::InitialState>& slot = initial_states_[key];
+    if (slot == nullptr) {
+      slot = std::make_shared<const core::InitialState>(
+          config.initial_posts, config.references, config.options.omega,
+          config.options.under_tagged_threshold);
+      InitialStateBuildsCounter()->Increment();
+    }
+    initial = slot.get();
+  }
+  return c->runtime->Begin(config.strategy.get(), config.stream.get(),
+                           initial);
+}
+
 void CampaignManager::PublishStatus(Campaign* c) {
   util::MutexLock lock(&c->status_mu);
-  c->metrics = c->runtime.Metrics();
-  c->budget_spent = c->runtime.spent();
-  c->tasks_completed = c->runtime.tasks_completed();
+  c->metrics = c->runtime->Metrics();
+  c->budget_spent = c->runtime->spent();
+  c->tasks_completed = c->runtime->tasks_completed();
   c->tasks_in_flight = static_cast<int64_t>(c->pending.size());
-  c->checkpoints_recorded = c->runtime.checkpoints_recorded();
+  c->checkpoints_recorded = c->runtime->checkpoints_recorded();
   c->queue_delay_seconds = c->queue_delay_s;
   c->elapsed_seconds = c->started.ElapsedSeconds();
 }
@@ -948,7 +978,7 @@ void CampaignManager::Finalize(Campaign* c, CampaignState state,
   if (state != CampaignState::kFailed) {
     util::MutexLock lock(&c->status_mu);
     if (c->begun) {
-      c->report = c->runtime.Finish();
+      c->report = c->runtime->Finish();
       // A cancellation that left budget unspent stopped the run early in
       // the RunReport sense, even though the strategy never declined.
       if (state == CampaignState::kCancelled &&
@@ -957,7 +987,7 @@ void CampaignManager::Finalize(Campaign* c, CampaignState state,
       }
       c->metrics = c->report.final_metrics;
       c->budget_spent = c->report.budget_spent;
-      c->tasks_completed = c->runtime.tasks_completed();
+      c->tasks_completed = c->runtime->tasks_completed();
       c->checkpoints_recorded = c->report.checkpoints.size();
     } else {
       // Cancelled before Begin: synthesize the report from the config so
@@ -977,6 +1007,14 @@ void CampaignManager::Finalize(Campaign* c, CampaignState state,
 // are dropped in OnCompletionBatch via `finalized`.
 void CampaignManager::Retire(Campaign* c, CampaignState state,
                              std::string error) {
+  // Nothing reads the run's own state again — Status, List and WaitFor
+  // read the published fields below — so free it now instead of when the
+  // manager is destroyed. The runtime points into the strategy and
+  // stream, and they may point into the context: free in that order.
+  c->runtime.reset();
+  c->config.strategy.reset();
+  c->config.stream.reset();
+  c->config.context.reset();
   {
     util::MutexLock lock(&c->status_mu);
     c->state = state;
@@ -1073,7 +1111,7 @@ util::Status CampaignManager::Compact(CampaignId id) {
     return util::Status::FailedPrecondition("campaign is not journaled");
   }
   if (c->finalized.load()) {
-    // Finish() moved the runtime's state into the report; there is
+    // Retire freed the runtime once the report was built; there is
     // nothing left to snapshot (and nothing left to gain — a terminal
     // journal replays once, at recovery, into a terminal campaign).
     return util::Status::FailedPrecondition("campaign is terminal");
@@ -1348,7 +1386,7 @@ bool CampaignManager::Replay(Campaign* c,
     // failure cannot fall back to full replay — the strategy, stream and
     // runtime are partially consumed by then, and a compacted journal no
     // longer holds the summarized prefix anyway — so it fails loudly.
-    util::Status restored = c->runtime.RestoreResumableState(
+    util::Status restored = c->runtime->RestoreResumableState(
         contents.snapshot.runtime_state, c->config.strategy.get(),
         c->config.stream.get());
     if (!restored.ok()) {
@@ -1385,8 +1423,7 @@ bool CampaignManager::Replay(Campaign* c,
                    ": full replay impossible");
       return false;
     }
-    util::Status status =
-        c->runtime.Begin(c->config.strategy.get(), c->config.stream.get());
+    util::Status status = BeginRuntime(c);
     if (!status.ok()) {
       Finalize(c, CampaignState::kFailed, status.ToString());
       return false;

@@ -49,6 +49,15 @@
 // AllocationEngine::Run for the same inputs, because it draws and applies
 // in the same order.
 //
+// Shared starting state: every campaign over one dataset starts from the
+// same initial posts (paper Section V-A), so the manager builds one
+// core::InitialState per (initial_posts, references, omega,
+// under_tagged_threshold) — lazily, in the first Begin that needs it,
+// on a worker — and each campaign's Begin copies from it instead of
+// replaying the posts again. Terminal campaigns drop their runtime,
+// strategy, stream and context once the report is built; only the
+// published status and report stay.
+//
 // Durability (ManagerOptions::journal_dir): each campaign appends a
 // write-ahead journal — one persist::SubmitRecord at Submit, one
 // persist::CompletionRecord per applied task — with fsync batched on a
@@ -66,11 +75,13 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
+#include <tuple>
 #include <unordered_set>
 #include <vector>
 
@@ -82,18 +93,28 @@
 #include "src/persist/journal_sink.h"
 #include "src/service/completion_source.h"
 #include "src/service/scheduler/scheduler.h"
+#include "src/util/mutex.h"
 #include "src/util/status.h"
+#include "src/util/thread_annotations.h"
 #include "src/util/thread_pool.h"
 
 namespace incentag {
+namespace core {
+class InitialState;
+}  // namespace core
+
 namespace service {
 
 class FleetHealth;
 
 // Everything one campaign needs. `initial_posts` and `references` must
-// outlive the manager (they are shared, read-only dataset vectors);
+// outlive the manager (they are shared, read-only dataset vectors, and
+// the manager keeps the starting state it builds from them for its
+// whole life). A stream may borrow its posts from the dataset too
+// (sim::PreparedDataset::MakeStream), under the same contract.
 // `strategy` and `stream` are owned by the campaign and must not be
-// shared across campaigns.
+// shared across campaigns; the manager destroys them, and `context`,
+// once the campaign is terminal.
 struct CampaignConfig {
   std::string name;
   core::EngineOptions options;
@@ -108,7 +129,8 @@ struct CampaignConfig {
   uint64_t seed = 0;
   // Optional keep-alive for auxiliary objects the strategy or stream
   // reference (e.g. the sim::CrowdModel behind FreeChoiceStrategy's
-  // picker). Destroyed with the campaign.
+  // picker). Released, after the strategy and stream, when the campaign
+  // goes terminal.
   std::shared_ptr<void> context;
 };
 
@@ -416,6 +438,16 @@ class CampaignManager {
                     const util::Status& status);
   // FleetHealth on_exit hook: reschedules every parked campaign.
   void ResumeParked();
+  // Begins the campaign's runtime from the shared starting state of its
+  // dataset and options, building that state first if no campaign has.
+  util::Status BeginRuntime(Campaign* campaign)
+      EXCLUDES(initial_states_mu_);
+
+  // Initial posts, references, omega, under_tagged_threshold: what the
+  // starting state depends on.
+  using InitialStateKey =
+      std::tuple<const std::vector<core::PostSequence>*,
+                 const std::vector<core::ResourceReference>*, int, int64_t>;
 
   ManagerOptions options_;
   std::unique_ptr<InlineCompletionSource> inline_source_;
@@ -430,6 +462,12 @@ class CampaignManager {
   // then runs inline on the driving thread) and until journaling is on.
   std::unique_ptr<persist::Compactor> compactor_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  // One starting state per key, built by the first Begin that needs it
+  // and never erased (the dataset pointers outlive the manager). Held
+  // while building, so concurrent first steps build a key once.
+  util::Mutex initial_states_mu_;
+  std::map<InitialStateKey, std::shared_ptr<const core::InitialState>>
+      initial_states_ GUARDED_BY(initial_states_mu_);
   // Journal files already resumed by Recover (single-threaded access —
   // see Recover's contract); makes a retried Recover skip them.
   std::unordered_set<std::string> recovered_paths_;

@@ -16,6 +16,7 @@
 #define INCENTAG_SIM_DATASET_PREP_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,10 +69,15 @@ struct PreparedDataset {
 
   size_t size() const { return initial_posts.size(); }
 
-  // A fresh replayable stream over the future posts (copies them, so every
-  // run starts from the same state).
+  // A fresh replayable stream over the future posts, with its cursors at
+  // the start. It borrows `future_posts` without copying it (a
+  // non-owning aliasing pointer), so every stream of one dataset reads
+  // the same posts: the dataset must outlive the stream and must not be
+  // moved, and ExtendFuture must not run while any stream exists.
   core::VectorPostStream MakeStream() const {
-    return core::VectorPostStream(future_posts);
+    return core::VectorPostStream(
+        std::shared_ptr<const std::vector<core::PostSequence>>(
+            std::shared_ptr<void>(), &future_posts));
   }
 };
 

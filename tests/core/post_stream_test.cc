@@ -1,5 +1,8 @@
 #include "src/core/post_stream.h"
 
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/core/types.h"
@@ -50,6 +53,42 @@ TEST(VectorPostStreamTest, ResetRestoresCursors) {
   EXPECT_EQ(stream.Consumed(0), 0);
   EXPECT_EQ(stream.Consumed(1), 0);
   EXPECT_EQ(stream.Next(0).tags, (std::vector<TagId>{1}));
+}
+
+TEST(VectorPostStreamTest, SkipSeeksAndRejectsOverrun) {
+  VectorPostStream stream(MakeSequences());
+  ASSERT_TRUE(stream.Skip(0, 1).ok());
+  EXPECT_EQ(stream.Consumed(0), 1);
+  EXPECT_EQ(stream.Next(0).tags, (std::vector<TagId>{2}));
+  EXPECT_FALSE(stream.Skip(1, 2).ok());
+  EXPECT_TRUE(stream.Skip(1, 1).ok());
+  EXPECT_FALSE(stream.HasNext(1));
+  EXPECT_EQ(stream.Available(1), 1);  // from the start, not the cursor
+}
+
+TEST(VectorPostStreamTest, ByValueStreamOwnsItsPosts) {
+  auto source = std::make_unique<std::vector<PostSequence>>(MakeSequences());
+  VectorPostStream stream(*source);
+  source.reset();
+  ASSERT_TRUE(stream.HasNext(0));
+  EXPECT_EQ(stream.Next(0).tags, (std::vector<TagId>{1}));
+  EXPECT_EQ(stream.Peek(1, 0).tags, (std::vector<TagId>{3}));
+  EXPECT_EQ(stream.Available(0), 2);
+}
+
+TEST(VectorPostStreamTest, SharedPostsHaveIndependentCursors) {
+  auto posts = std::make_shared<const std::vector<PostSequence>>(
+      MakeSequences());
+  VectorPostStream a(posts);
+  VectorPostStream b(posts);
+  EXPECT_EQ(&a.Peek(0, 1), &b.Peek(0, 1));
+  EXPECT_EQ(a.Next(0).tags, (std::vector<TagId>{1}));
+  EXPECT_EQ(a.Consumed(0), 1);
+  EXPECT_EQ(b.Consumed(0), 0);
+  EXPECT_EQ(b.Next(0).tags, (std::vector<TagId>{1}));
+  a.Reset();
+  EXPECT_EQ(a.Consumed(0), 0);
+  EXPECT_EQ(b.Consumed(0), 1);
 }
 
 TEST(VectorPostStreamTest, EmptySequenceHasNoNext) {

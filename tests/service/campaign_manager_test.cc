@@ -15,6 +15,7 @@
 #include "src/core/strategy_fpmu.h"
 #include "src/core/strategy_mu.h"
 #include "src/core/strategy_rr.h"
+#include "src/obs/metrics.h"
 #include "src/sim/crowd.h"
 #include "src/sim/dataset_prep.h"
 #include "src/sim/generator.h"
@@ -82,9 +83,14 @@ class CampaignManagerTest : public ::testing::Test {
 
   static CampaignConfig MakeConfig(int kind, int64_t budget,
                                    uint64_t fc_seed) {
+    return MakeConfig(kind, MakeOptions(kind, budget), fc_seed);
+  }
+
+  static CampaignConfig MakeConfig(int kind, core::EngineOptions options,
+                                   uint64_t fc_seed) {
     CampaignConfig config;
     config.name = "campaign-" + std::to_string(kind);
-    config.options = MakeOptions(kind, budget);
+    config.options = std::move(options);
     config.initial_posts = &dataset_->initial_posts;
     config.references = &dataset_->references;
     config.strategy = MakeStrategy(kind, fc_seed, &config.context);
@@ -96,10 +102,15 @@ class CampaignManagerTest : public ::testing::Test {
   // The sequential ground truth for the same campaign parameters.
   static core::RunReport RunSequential(int kind, int64_t budget,
                                        uint64_t fc_seed) {
+    return RunSequential(kind, MakeOptions(kind, budget), fc_seed);
+  }
+
+  static core::RunReport RunSequential(int kind,
+                                       const core::EngineOptions& options,
+                                       uint64_t fc_seed) {
     std::shared_ptr<void> context;
     auto strategy = MakeStrategy(kind, fc_seed, &context);
-    core::AllocationEngine engine(MakeOptions(kind, budget),
-                                  &dataset_->initial_posts,
+    core::AllocationEngine engine(options, &dataset_->initial_posts,
                                   &dataset_->references);
     core::VectorPostStream stream = dataset_->MakeStream();
     auto report = engine.Run(strategy.get(), &stream);
@@ -132,6 +143,12 @@ class CampaignManagerTest : public ::testing::Test {
     EXPECT_EQ(want.over_tagged, got.over_tagged) << label;
     EXPECT_EQ(want.wasted_posts, got.wasted_posts) << label;
     EXPECT_EQ(want.under_tagged, got.under_tagged) << label;
+  }
+
+  static int64_t InitialStateBuilds() {
+    return obs::Registry::Default()
+        .GetCounter("incentag_service_initial_state_builds_total", "")
+        ->Value();
   }
 
   static sim::Corpus* corpus_;
@@ -382,6 +399,101 @@ TEST_F(CampaignManagerTest, ManyMoreCampaignsThanThreads) {
     total += status.tasks_completed;
   }
   EXPECT_GT(total, 0);
+}
+
+// Every campaign over one dataset starts from one shared InitialState per
+// (omega, under_tagged_threshold). Sharing must change no report: every
+// strategy under every key, run concurrently on one live manager, must
+// equal a standalone engine run that builds its own starting state.
+TEST_F(CampaignManagerTest, SharedInitialStateChangesNoReport) {
+  ManagerOptions options;
+  options.num_threads = 3;
+  options.tasks_per_step = 32;
+  CampaignManager manager(options);
+  struct Submitted {
+    int kind;
+    core::EngineOptions options;
+    uint64_t seed;
+    CampaignId id;
+  };
+  std::vector<Submitted> submitted;
+  for (int omega : {5, 3}) {
+    for (int64_t threshold : {10, 2}) {
+      for (int kind = 0; kind < 5; ++kind) {
+        core::EngineOptions engine_options = MakeOptions(kind, 180);
+        engine_options.omega = omega;
+        engine_options.under_tagged_threshold = threshold;
+        const uint64_t seed = 31 + submitted.size();
+        auto id = manager.Submit(MakeConfig(kind, engine_options, seed));
+        ASSERT_TRUE(id.ok()) << id.status().ToString();
+        submitted.push_back({kind, engine_options, seed, id.value()});
+      }
+    }
+  }
+  for (const Submitted& s : submitted) {
+    const std::string label = "kind " + std::to_string(s.kind) + " omega " +
+                              std::to_string(s.options.omega) + " threshold " +
+                              std::to_string(s.options.under_tagged_threshold);
+    auto got = manager.Wait(s.id);
+    ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+    ExpectReportsEqual(RunSequential(s.kind, s.options, s.seed), got.value(),
+                       label);
+  }
+}
+
+// The manager builds one starting state per dataset and key, however many
+// campaigns share it, and a second omega is a second key.
+TEST_F(CampaignManagerTest, BuildsOneInitialStatePerDatasetAndKey) {
+  ManagerOptions options;
+  options.num_threads = 3;
+  CampaignManager manager(options);
+  const int64_t before = InitialStateBuilds();
+  for (int i = 0; i < 32; ++i) {
+    ASSERT_TRUE(
+        manager.Submit(MakeConfig(i, 60, 1 + static_cast<uint64_t>(i))).ok());
+  }
+  manager.WaitAll();
+  EXPECT_EQ(InitialStateBuilds() - before, 1);
+
+  core::EngineOptions other = MakeOptions(0, 60);
+  other.omega = 3;
+  auto id = manager.Submit(MakeConfig(0, other, 1));
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(manager.Wait(id.value()).ok());
+  EXPECT_EQ(InitialStateBuilds() - before, 2);
+}
+
+// A terminal campaign keeps only its published status and report: its
+// runtime, strategy, stream and context are freed as soon as it ends,
+// not when the manager is destroyed.
+TEST_F(CampaignManagerTest, TerminalCampaignReleasesItsState) {
+  ManagerOptions options;
+  options.num_threads = 2;
+  CampaignManager manager(options);
+  const int kind = 4;  // FC: the context owns the strategy's crowd model
+  CampaignConfig config = MakeConfig(kind, 120, 5);
+  ASSERT_NE(config.context, nullptr);
+  std::weak_ptr<void> context = config.context;
+  auto id = manager.Submit(std::move(config));
+  ASSERT_TRUE(id.ok());
+
+  auto result = manager.WaitFor(id.value(), std::chrono::seconds(30));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result.value().state, CampaignState::kDone);
+  EXPECT_TRUE(context.expired());
+
+  const core::RunReport want = RunSequential(kind, 120, 5);
+  ExpectReportsEqual(want, result.value().report, "WaitFor");
+  auto report = manager.Wait(id.value());
+  ASSERT_TRUE(report.ok());
+  ExpectReportsEqual(want, report.value(), "Wait");
+  auto status = manager.Status(id.value());
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(status.value().state, CampaignState::kDone);
+  EXPECT_EQ(status.value().budget_spent, want.budget_spent);
+  ExpectMetricsEqual(want.final_metrics, status.value().metrics, "Status");
+  EXPECT_EQ(manager.List(ListQuery{}).statuses.size(), 1u);
+  EXPECT_TRUE(manager.Cancel(id.value()).ok());  // a no-op once terminal
 }
 
 }  // namespace

@@ -154,6 +154,34 @@ TEST_F(DatasetPrepTest, MakeStreamReplaysFuturePosts) {
   EXPECT_EQ(stream2.Consumed(0), 0);
 }
 
+// MakeStream borrows the dataset's future posts instead of copying them:
+// every stream reads the same Post objects through its own cursors.
+TEST_F(DatasetPrepTest, MakeStreamSharesPostsWithIndependentCursors) {
+  auto prep = PrepareFromCorpus(*corpus_, TestPrepConfig());
+  ASSERT_TRUE(prep.ok());
+  const PreparedDataset& ds = prep.value();
+  core::VectorPostStream a = ds.MakeStream();
+  core::VectorPostStream b = ds.MakeStream();
+  ASSERT_GT(a.Available(0), 1);
+  EXPECT_EQ(&a.Peek(0, 0), &b.Peek(0, 0));
+  EXPECT_EQ(&a.Peek(0, 0), &ds.future_posts[0][0]);
+
+  EXPECT_EQ(a.Next(0), ds.future_posts[0][0]);
+  EXPECT_EQ(a.Consumed(0), 1);
+  EXPECT_EQ(b.Consumed(0), 0);
+  const int64_t available = b.Available(0);
+  ASSERT_TRUE(b.Skip(0, available).ok());
+  EXPECT_FALSE(b.HasNext(0));
+  EXPECT_TRUE(a.HasNext(0));
+  EXPECT_FALSE(b.Skip(0, 1).ok());
+  b.Reset();
+  EXPECT_EQ(b.Consumed(0), 0);
+  EXPECT_EQ(a.Consumed(0), 1);
+  EXPECT_EQ(b.Available(0), available);
+  EXPECT_EQ(b.Available(0),
+            static_cast<int64_t>(ds.future_posts[0].size()));
+}
+
 TEST_F(DatasetPrepTest, ExtendFutureGrowsSupply) {
   auto prep = PrepareFromCorpus(*corpus_, TestPrepConfig());
   ASSERT_TRUE(prep.ok());
